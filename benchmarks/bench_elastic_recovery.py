@@ -1,7 +1,7 @@
 """Elastic recovery: seeded device failures with event-driven replanning.
 
 Replays a seeded random-failure scenario (failures with later recovery) for
-Multitask-CLIP on 16 GPUs through the elastic training runner: capacity-loss
+Multitask-CLIP on 16 GPUs through the event-driven runtime: capacity-loss
 events force a replan routed through the per-topology incremental planner and
 the shared plan cache; recoveries ride the slowdown-threshold policy.  The
 gated metrics are fully deterministic — simulated iteration times, the
@@ -14,14 +14,10 @@ from bench_utils import emit
 
 from repro.bench import Metric, informational, invariant, register_benchmark
 from repro.cluster.device import A800_SPEC
-from repro.elastic import (
-    ElasticScenario,
-    ElasticTrainingRunner,
-    SlowdownThresholdPolicy,
-    random_failure_timeline,
-)
+from repro.elastic import SlowdownThresholdPolicy, random_failure_timeline
 from repro.experiments.reporting import render_elastic_result
 from repro.experiments.workloads import clip_workload
+from repro.unified import UnifiedRunner, UnifiedScenario
 
 WORKLOAD = clip_workload(4, 16)
 TOTAL_ITERATIONS = 200
@@ -29,7 +25,7 @@ NUM_FAILURES = 3
 SEED = 0
 
 
-def _scenario() -> ElasticScenario:
+def _scenario(tasks) -> UnifiedScenario:
     num_nodes, per_node = 2, 8
     timeline = random_failure_timeline(
         num_nodes=num_nodes,
@@ -38,7 +34,8 @@ def _scenario() -> ElasticScenario:
         num_failures=NUM_FAILURES,
         seed=SEED,
     )
-    return ElasticScenario(
+    return UnifiedScenario.from_elastic(
+        tasks,
         num_nodes=num_nodes,
         devices_per_node=per_node,
         device_spec=A800_SPEC,
@@ -49,10 +46,9 @@ def _scenario() -> ElasticScenario:
 
 
 def _run(tasks):
-    runner = ElasticTrainingRunner(
-        _scenario(), policy=SlowdownThresholdPolicy(threshold=0.1)
-    )
-    return runner.run(tasks)
+    return UnifiedRunner(
+        _scenario(tasks), policy=SlowdownThresholdPolicy(threshold=0.1)
+    ).run()
 
 
 @register_benchmark(

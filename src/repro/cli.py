@@ -290,12 +290,9 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.cluster.device import A800_SPEC
-    from repro.elastic import (
-        ElasticScenario,
-        ElasticTrainingRunner,
-        make_policy,
-    )
+    from repro.elastic import MigrationCostModel, make_policy
     from repro.experiments.reporting import render_elastic_result
+    from repro.unified import UnifiedRunner, UnifiedScenario
 
     if args.iterations <= 1:
         return _fail("--iterations must exceed 1")
@@ -322,9 +319,9 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
             return _fail("--scenario island-outage needs --iterations of at least 3")
 
     workload = _workload_from_args(args)
-    tasks = workload.tasks()
     timeline = _elastic_timeline(args, num_nodes, per_node)
-    scenario = ElasticScenario(
+    scenario = UnifiedScenario.from_elastic(
+        workload.tasks(),
         num_nodes=num_nodes,
         devices_per_node=per_node,
         device_spec=A800_SPEC,
@@ -335,15 +332,12 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
     policy = make_policy(
         args.policy, min_groups=args.debounce, threshold=args.threshold
     )
-    from repro.elastic import MigrationCostModel
-
     migration_model = MigrationCostModel(
         checkpoint_interval=args.checkpoint_interval
     )
-    runner = ElasticTrainingRunner(
+    result = UnifiedRunner(
         scenario, policy=policy, migration_model=migration_model
-    )
-    result = runner.run(tasks)
+    ).run()
 
     document = result.to_document()
     document["workload"] = workload.describe()

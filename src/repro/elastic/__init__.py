@@ -1,8 +1,8 @@
-"""Elastic cluster subsystem: failure injection and event-driven replanning.
+"""Elastic cluster subsystem: cluster events, views, policies and cost models.
 
 Production multi-task training lives with device failures, stragglers and
-elastic capacity changes; this package adds the machinery to express and
-evaluate such scenarios on the simulated substrate:
+elastic capacity changes; this package adds the machinery to express such
+scenarios on the simulated substrate:
 
 * :mod:`repro.elastic.events` — cluster events (failure/recovery, node
   join/leave, straggler onset/clear), iteration-ordered timelines and seeded
@@ -11,11 +11,15 @@ evaluate such scenarios on the simulated substrate:
   :class:`~repro.cluster.topology.ClusterTopology` after each event,
 * :mod:`repro.elastic.policy` — replan policies (immediate, debounced,
   slowdown-threshold),
-* :mod:`repro.elastic.migration` — the plan-migration cost model (parameter
-  re-shard transfers + checkpoint restores),
-* :mod:`repro.elastic.runner` — the elastic training runner producing
-  cumulative-training-time curves with per-event replan/migration overhead
-  breakdowns, reproducibly (identical seeds, byte-identical reports).
+* :mod:`repro.elastic.migration` — the deterministic cost models of a plan
+  switch: plan migration (parameter re-shard transfers + checkpoint restores)
+  and replanning.
+
+The runs themselves go through the one event-driven runtime,
+:class:`repro.unified.UnifiedRunner`: an elastic run is the scenario
+:meth:`repro.unified.UnifiedScenario.from_elastic` builds (a fixed task set
+under a cluster-event timeline), and its report is byte-identical for
+identical seeds.
 """
 
 from repro.elastic.events import (
@@ -41,6 +45,7 @@ from repro.elastic.migration import (
     MigrationCostModel,
     MigrationGroup,
     MigrationReport,
+    ReplanCostModel,
 )
 from repro.elastic.policy import (
     POLICY_NAMES,
@@ -51,16 +56,6 @@ from repro.elastic.policy import (
     SlowdownThresholdPolicy,
     forgone_capacity_gain,
     make_policy,
-)
-from repro.elastic.runner import (
-    ElasticRunError,
-    ElasticRunResult,
-    ElasticScenario,
-    ElasticSegment,
-    ElasticTrainingRunner,
-    EventOutcome,
-    ReplanCostModel,
-    ReplanRecord,
 )
 from repro.elastic.view import (
     ElasticClusterView,
@@ -77,15 +72,9 @@ __all__ = [
     "DebouncedReplanPolicy",
     "ElasticClusterView",
     "ElasticEventError",
-    "ElasticRunError",
-    "ElasticRunResult",
-    "ElasticScenario",
-    "ElasticSegment",
     "ElasticSnapshot",
-    "ElasticTrainingRunner",
     "ElasticViewError",
     "EVENT_KINDS",
-    "EventOutcome",
     "EventTimeline",
     "ImmediateReplanPolicy",
     "MigrationCostModel",
@@ -97,7 +86,6 @@ __all__ = [
     "ReplanContext",
     "ReplanCostModel",
     "ReplanPolicy",
-    "ReplanRecord",
     "STRAGGLER_CLEAR",
     "STRAGGLER_ONSET",
     "SlowdownThresholdPolicy",

@@ -179,7 +179,7 @@ class EventTimeline:
     def grouped_by_iteration(self) -> list[tuple[int, list[ClusterEvent]]]:
         """``(iteration, events)`` groups in iteration order.
 
-        The elastic runner applies each group atomically and makes one replan
+        The runtime applies each group atomically and makes one replan
         decision per group — simultaneous events (an island outage) trigger
         one replan, not eight.
         """

@@ -113,6 +113,30 @@ class ElasticSnapshot:
         specs = self.topology.node_specs
         return specs[island] if specs is not None else self.topology.device_spec
 
+    def _stay_slowdown(self, current: "ElasticSnapshot") -> float:
+        """Pacing penalty of keeping this snapshot's plan on ``current``.
+
+        The old plan's wave entries pace on their own device group's spec
+        class, so a degradation slows the plan down by the worst *per-node*
+        ratio of planned to current sustained throughput over the surviving
+        planned nodes — a straggling device demotes only its own island's
+        group.  Capacity added elsewhere neither helps nor hurts until a
+        replan adopts it.  On homogeneous substrates this equals the old
+        floor-to-floor ratio.
+        """
+        worst = 1.0
+        for node_id in self.node_ids:
+            current_spec = current.spec_of_node(node_id)
+            if current_spec is None:
+                continue
+            planned_spec = self.spec_of_node(node_id)
+            if planned_spec is None:  # pragma: no cover - planned nodes exist
+                continue
+            worst = max(
+                worst, planned_spec.achievable_flops / current_spec.achievable_flops
+            )
+        return worst
+
 
 class ElasticClusterView:
     """Tracks the physical substrate across cluster events.

@@ -71,6 +71,10 @@ class SpindleTask:
     >>> task.add_module("language_model", lm_ops)
     >>> task.add_flow("vision_encoder", "language_model")
     >>> graph = task.build_graph()
+
+    ``version`` counts in-place edits (``batch_size``/``weight`` assignments,
+    :meth:`add_module`, :meth:`add_flow`), so identity-keyed memos can tell a
+    resubmitted task object apart from the one they saw before.
     """
 
     def __init__(self, name: str, batch_size: int = 1, weight: float = 1.0) -> None:
@@ -78,11 +82,30 @@ class SpindleTask:
             raise TaskError("Task name must be non-empty")
         if batch_size <= 0:
             raise TaskError("Task batch size must be positive")
+        self.version = 0
         self.name = name
-        self.batch_size = int(batch_size)
-        self.weight = float(weight)
+        self.batch_size = batch_size
+        self.weight = weight
         self._modules: dict[str, ModuleSpec] = {}
         self._flows: list[tuple[str, str, Optional[float]]] = []
+
+    @property
+    def batch_size(self) -> int:
+        return self._batch_size
+
+    @batch_size.setter
+    def batch_size(self, value: int) -> None:
+        self._batch_size = int(value)
+        self.version += 1
+
+    @property
+    def weight(self) -> float:
+        return self._weight
+
+    @weight.setter
+    def weight(self, value: float) -> None:
+        self._weight = float(value)
+        self.version += 1
 
     # ---------------------------------------------------------------- modules
     def add_module(self, name: str, operators: Iterable[Operator]) -> ModuleSpec:
@@ -98,6 +121,7 @@ class SpindleTask:
                 )
         module = ModuleSpec(name=name, operators=ops)
         self._modules[name] = module
+        self.version += 1
         return module
 
     def module(self, name: str) -> ModuleSpec:
@@ -126,6 +150,7 @@ class SpindleTask:
         if src_module == dst_module:
             raise TaskError("A module cannot flow into itself")
         self._flows.append((src_module, dst_module, volume_bytes))
+        self.version += 1
 
     @property
     def flows(self) -> list[tuple[str, str, Optional[float]]]:

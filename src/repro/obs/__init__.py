@@ -1,10 +1,11 @@
 """Unified observability layer: spans, metrics and trace exporters.
 
 ``repro.obs`` is the shared instrumentation substrate of the reproduction.
-It deliberately depends on nothing else in the package (the planner, service,
-elastic runner and simulator all import it), and it stays out of the way when
-unused: the default tracer is disabled unless ``REPRO_OBS`` is set or a
-caller enables it, and a disabled span is a stateless no-op singleton.
+It deliberately depends on nothing else in the package (the planner,
+service, event-driven runtime and simulator all import it), and it stays out
+of the way when unused: the default tracer is disabled unless ``REPRO_OBS`` is
+set or a caller enables it, and a disabled span is a stateless no-op
+singleton.
 
 * :mod:`repro.obs.tracer` — nested, thread-local wall-clock spans.
 * :mod:`repro.obs.metrics` — counters/gauges/histograms under canonical
@@ -34,6 +35,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     HistogramSummary,
+    MetricsDelta,
     MetricsRegistry,
     MetricsSnapshot,
     get_metrics,
@@ -64,6 +66,7 @@ __all__ = [
     "WALL_PID",
     "HistogramSummary",
     "JournalError",
+    "MetricsDelta",
     "MetricsRegistry",
     "MetricsSnapshot",
     "RequestLifecycle",

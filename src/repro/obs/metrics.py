@@ -148,11 +148,13 @@ class MetricsSnapshot:
     gauges: dict[str, float] = field(default_factory=dict)
     histograms: dict[str, HistogramSummary] = field(default_factory=dict)
 
-    def diff(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
+    def diff(self, earlier: "MetricsSnapshot") -> "MetricsDelta":
         """This snapshot minus ``earlier``: counter and histogram count/total
-        deltas; gauges keep their latest value.  Histogram percentiles are
-        distribution properties and do not subtract — a diffed histogram
-        reports delta count/total/mean only (min/max/percentiles zeroed).
+        deltas, plus the gauges set to a new value inside the window (at
+        their latest value).  Histogram percentiles are distribution
+        properties and do not subtract — a diffed histogram reports delta
+        count/total/mean only (min/max/percentiles zeroed), and exports skip
+        its percentiles.
         """
         counters = {
             key: value - earlier.counters.get(key, 0.0)
@@ -169,9 +171,12 @@ class MetricsSnapshot:
             histograms[key] = HistogramSummary(
                 count=count, total=total, mean=total / count
             )
-        return MetricsSnapshot(
-            counters=counters, gauges=dict(self.gauges), histograms=histograms
-        )
+        gauges = {
+            key: value
+            for key, value in self.gauges.items()
+            if earlier.gauges.get(key) != value
+        }
+        return MetricsDelta(counters=counters, gauges=gauges, histograms=histograms)
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-safe rendering (embedded in Chrome trace ``otherData``)."""
@@ -183,6 +188,11 @@ class MetricsSnapshot:
                 for key, summary in sorted(self.histograms.items())
             },
         }
+
+
+@dataclass(frozen=True)
+class MetricsDelta(MetricsSnapshot):
+    """What changed inside one window (see :meth:`MetricsSnapshot.diff`)."""
 
 
 class MetricsRegistry:
@@ -262,7 +272,8 @@ class MetricsRegistry:
 
         Counters and gauges export their value; histograms export
         ``<key>.count`` plus (for second-valued names, i.e. names whose base
-        ends in ``_seconds``) ``<key>.p50_ms``/``<key>.p95_ms``/``<key>.p99_ms``.
+        ends in ``_seconds``) ``<key>.p50_ms``/``<key>.p95_ms``/``<key>.p99_ms``
+        — except in a :class:`MetricsDelta`, whose percentiles are unknown.
         Everything
         defaults to informational — registry values are measurements, not
         gates — except keys listed in ``gated``, which carry the default
@@ -286,7 +297,7 @@ class MetricsRegistry:
         for key, summary in sorted(snap.histograms.items()):
             metrics[f"{prefix}{key}.count"] = make(key, float(summary.count), "")
             base_name, _ = split_metric_key(key)
-            if base_name.endswith("_seconds"):
+            if base_name.endswith("_seconds") and not isinstance(snap, MetricsDelta):
                 metrics[f"{prefix}{key}.p50_ms"] = informational(
                     summary.p50 * 1e3, "ms"
                 )

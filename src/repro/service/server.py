@@ -121,10 +121,13 @@ class FingerprintMemo:
 
     Resubmitting the same task objects (the common serving pattern) skips
     canonicalisation entirely; entries hold strong references to their
-    workloads so CPython cannot recycle the memoized ids.  Workloads are
-    treated as immutable once submitted.  Shared by :class:`PlanService`
-    and the fleet router (:class:`~repro.service.fleet.PlanServiceFleet`),
-    which fingerprints once at the front end and hands the result down.
+    workloads so CPython cannot recycle the memoized ids.  Tasks are keyed
+    on ``(id, version)`` pairs, so a task edited in place (its mutation
+    counter moved) is fingerprinted afresh instead of served a stale plan;
+    graph workloads are treated as immutable once submitted.  Shared by
+    :class:`PlanService` and the fleet router
+    (:class:`~repro.service.fleet.PlanServiceFleet`), which fingerprints once
+    at the front end and hands the result down.
     """
 
     def __init__(
@@ -137,13 +140,13 @@ class FingerprintMemo:
         self.config_signature = config_signature
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._memo: OrderedDict[tuple[int, ...], tuple[object, str]] = OrderedDict()
+        self._memo: OrderedDict[tuple, tuple[object, str]] = OrderedDict()
 
     @staticmethod
-    def key_of(workload: PlannerInput) -> tuple[int, ...]:
+    def key_of(workload: PlannerInput) -> tuple:
         if isinstance(workload, ComputationGraph):
             return (id(workload),)
-        return tuple(id(task) for task in workload)
+        return tuple((id(task), task.version) for task in workload)
 
     def fingerprint(self, workload: PlannerInput) -> str:
         key = self.key_of(workload)
@@ -160,7 +163,7 @@ class FingerprintMemo:
         self,
         workload: PlannerInput,
         fingerprint: str,
-        key: "tuple[int, ...] | None" = None,
+        key: tuple | None = None,
     ) -> None:
         """Seed the memo with an externally computed fingerprint."""
         key = key if key is not None else self.key_of(workload)
@@ -1157,7 +1160,7 @@ class PlanServicePool:
     ----------
     planner_factory:
         Builds the :class:`ExecutionPlanner` for a derived topology (same
-        contract as the elastic runner's ``planner_factory``).
+        contract as :class:`~repro.unified.UnifiedRunner`'s ``planner_factory``).
     cache / stats:
         Shared across every service of the pool; fresh ones are created when
         omitted.

@@ -1,10 +1,10 @@
-"""Unified event-driven runtime: workload and cluster events on one timeline.
+"""The event-driven runtime: workload and cluster events on one timeline.
 
-Merges the elastic substrate loop and the dynamic-workload phase machinery
-into a single event-driven runner with incremental replanning.  See
-``docs/architecture.md`` for how this package sits on top of ``elastic/`` and
-``dynamic/``, and ``docs/events.md`` for the event model and its ordering
-rules.
+One runner with incremental replanning replays elastic scenarios (cluster
+events under a fixed task set), dynamic phase schedules and compositions of
+both.  See ``docs/architecture.md`` for how this package sits on top of
+``elastic/`` and ``dynamic/``, and ``docs/events.md`` for the event model and
+its ordering rules.
 """
 
 from repro.unified.events import (
@@ -21,8 +21,8 @@ from repro.unified.events import (
     job_churn_timeline,
 )
 from repro.unified.runtime import (
+    ReplanRecord,
     UnifiedEventOutcome,
-    UnifiedReplanRecord,
     UnifiedRunError,
     UnifiedRunResult,
     UnifiedRunner,
@@ -37,9 +37,9 @@ __all__ = [
     "TASK_DEPARTURE",
     "WORKLOAD_EVENT_KINDS",
     "EventGroup",
+    "ReplanRecord",
     "UnifiedEventError",
     "UnifiedEventOutcome",
-    "UnifiedReplanRecord",
     "UnifiedRunError",
     "UnifiedRunResult",
     "UnifiedRunner",

@@ -1,11 +1,12 @@
-"""The unified event-driven runtime: one loop over workload + cluster events.
+"""The event-driven runtime: one loop over workload + cluster events.
 
-:class:`UnifiedRunner` merges the elastic runner's substrate loop
-(:mod:`repro.elastic.runner`) with the dynamic runner's task-set machinery
-(:mod:`repro.dynamic.workload`): a single ordered event loop consumes a
-:class:`~repro.unified.events.UnifiedTimeline` against one shared state —
-the :class:`~repro.elastic.view.ElasticClusterView` plus the ordered active
-task list.  Per event group (see ``docs/events.md`` for ordering rules) it
+:class:`UnifiedRunner` is the only event-driven runtime.  A single
+ordered event loop consumes a :class:`~repro.unified.events.UnifiedTimeline`
+against one shared state — the :class:`~repro.elastic.view.ElasticClusterView`
+plus the ordered active task list.  Elastic runs (a fixed task set under
+cluster events, :meth:`UnifiedScenario.from_elastic`) and dynamic phase
+schedules (:meth:`UnifiedScenario.from_dynamic`) are both scenarios of this
+loop.  Per event group (see ``docs/events.md`` for ordering rules) it
 
 1. applies the group's cluster events to the view and derives a snapshot,
 2. applies the group's workload events to the active task list,
@@ -17,9 +18,14 @@ task list.  Per event group (see ``docs/events.md`` for ordering rules) it
    ``reuse_levels=True`` in incremental mode, so structurally unchanged
    MetaLevels (or entire plans, on in-place job churn) are adopted instead of
    re-solved — and a shared fingerprint-keyed plan cache,
-5. charges the switch with the shared elastic cost models
-   (:class:`~repro.elastic.migration.MigrationCostModel`,
-   :class:`~repro.elastic.runner.ReplanCostModel`).
+5. charges the switch with the deterministic cost models of
+   :mod:`repro.elastic.migration` (:class:`~repro.elastic.migration.MigrationCostModel`,
+   :class:`~repro.elastic.migration.ReplanCostModel`).
+
+Without a replan, training continues on the old plan: a degraded substrate
+multiplies the iteration time by the pacing ratio of the devices the plan
+runs on (a straggler throttling its node to 50% doubles it), while added
+capacity simply idles.
 
 **Determinism.** Identical scenarios and seeds produce byte-identical
 canonical reports (:meth:`UnifiedRunResult.to_document`): measured planner
@@ -42,9 +48,8 @@ from repro.core.plan import ExecutionPlan
 from repro.core.planner import ExecutionPlanner
 from repro.dynamic.workload import DynamicWorkloadSchedule
 from repro.elastic.events import CAPACITY_LOSS_KINDS, ClusterEvent, EventTimeline
-from repro.elastic.migration import MigrationCostModel, MigrationReport
+from repro.elastic.migration import MigrationCostModel, MigrationReport, ReplanCostModel
 from repro.elastic.policy import ReplanContext, ReplanPolicy, SlowdownThresholdPolicy
-from repro.elastic.runner import ElasticTrainingRunner, ReplanCostModel, ReplanRecord
 from repro.elastic.view import ElasticClusterView, ElasticSnapshot
 from repro.graph.task import SpindleTask
 from repro.obs import get_metrics, get_tracer
@@ -206,6 +211,33 @@ class UnifiedScenario:
             name=name,
         )
 
+    @classmethod
+    def from_elastic(
+        cls,
+        tasks: Sequence[SpindleTask],
+        num_nodes: int,
+        devices_per_node: int,
+        device_spec: DeviceSpec,
+        timeline: EventTimeline,
+        total_iterations: int,
+        name: str = "elastic",
+    ) -> "UnifiedScenario":
+        """A fixed task set trained under a cluster-event timeline.
+
+        The workload stream is empty: ``tasks`` (in order) stay active for
+        the whole run, so every replan is triggered by substrate change.
+        """
+        return cls(
+            num_nodes=num_nodes,
+            devices_per_node=devices_per_node,
+            device_spec=device_spec,
+            timeline=UnifiedTimeline(cluster_events=timeline),
+            total_iterations=total_iterations,
+            task_pool={task.name: task for task in tasks},
+            initial_tasks=tuple(task.name for task in tasks),
+            name=name,
+        )
+
     def build_view(self) -> ElasticClusterView:
         return ElasticClusterView(
             num_nodes=self.num_nodes,
@@ -215,17 +247,34 @@ class UnifiedScenario:
 
 
 @dataclass
-class UnifiedReplanRecord(ReplanRecord):
-    """One planner invocation in the unified loop.
+class ReplanRecord:
+    """Bookkeeping of one planner invocation (initial plan or event replan).
 
-    Extends the elastic :class:`~repro.elastic.runner.ReplanRecord` with the
-    incremental-reuse counter.  ``levels_reused`` is **out-of-band** — it is
-    excluded from :meth:`to_document` (inherited unchanged), because canonical
-    reports must be byte-identical between incremental and full-replan modes;
-    read it from the result object when asserting reuse behaviour.
+    ``charged_seconds`` is the deterministic :class:`ReplanCostModel` figure
+    that enters the timeline and the canonical report.  ``measured_seconds``
+    (actual planner wall-clock) and ``levels_reused`` (MetaLevel allocations
+    adopted by incremental replanning) are **out-of-band**: they are excluded
+    from :meth:`to_document`, because canonical reports must be byte-identical
+    across runs and between incremental and full-replan modes.  All times are
+    seconds.
     """
 
+    charged_seconds: float
+    measured_seconds: float
+    cache_hit: bool
+    num_metaops: int
+    curves_reused: int
+    curves_estimated: int
     levels_reused: int = 0
+
+    def to_document(self) -> dict[str, Any]:
+        return {
+            "charged_seconds": self.charged_seconds,
+            "cache_hit": self.cache_hit,
+            "num_metaops": self.num_metaops,
+            "curves_reused": self.curves_reused,
+            "curves_estimated": self.curves_estimated,
+        }
 
 
 @dataclass
@@ -248,7 +297,7 @@ class UnifiedEventOutcome:
     #: is identical across incremental and full-replan modes — which the
     #: equivalence tests assert outcome by outcome.
     plan_fingerprint: str | None = None
-    replan: UnifiedReplanRecord | None = None
+    replan: ReplanRecord | None = None
     migration: MigrationReport | None = None
 
     @property
@@ -303,7 +352,8 @@ class UnifiedSegment:
 
 @dataclass
 class UnifiedRunResult:
-    """Cumulative-training-time record of one unified run.
+    """Cumulative-training-time record of one run — elastic, dynamic or
+    composed — with per-event replan and migration overhead breakdowns.
 
     ``baseline_iteration_seconds`` is the initial plan's simulated iteration
     time — the rate of a hypothetical run where neither the substrate nor the
@@ -319,7 +369,7 @@ class UnifiedRunResult:
     baseline_iteration_seconds: float
     segments: list[UnifiedSegment] = field(default_factory=list)
     outcomes: list[UnifiedEventOutcome] = field(default_factory=list)
-    initial_plan: UnifiedReplanRecord | None = None
+    initial_plan: ReplanRecord | None = None
 
     # -------------------------------------------------------------- totals
     @property
@@ -359,6 +409,14 @@ class UnifiedRunResult:
         return sum(1 for outcome in self.outcomes if outcome.task_set_changed)
 
     @property
+    def migration_bytes(self) -> float:
+        return sum(
+            outcome.migration.total_bytes
+            for outcome in self.outcomes
+            if outcome.migration is not None
+        )
+
+    @property
     def migration_seconds(self) -> float:
         return sum(
             outcome.migration.total_seconds
@@ -392,6 +450,34 @@ class UnifiedRunResult:
                 total += outcome.replan.levels_reused
         return total
 
+    @property
+    def curve_reuse_rate(self) -> float:
+        """Share of the curves planned replans needed that the pool supplied."""
+        reused = estimated = 0
+        for outcome in self.outcomes:
+            if outcome.replan is not None and not outcome.replan.cache_hit:
+                reused += outcome.replan.curves_reused
+                estimated += outcome.replan.curves_estimated
+        total = reused + estimated
+        return reused / total if total else 0.0
+
+    def cumulative_curve(self) -> list[tuple[int, float]]:
+        """``(iterations, cumulative seconds)`` points, one per segment end."""
+        curve: list[tuple[int, float]] = []
+        elapsed = 0.0
+        outcome_index = 0
+        for segment in self.segments:
+            iterations = segment.start_iteration + segment.num_iterations
+            elapsed += segment.seconds
+            while (
+                outcome_index < len(self.outcomes)
+                and self.outcomes[outcome_index].iteration <= iterations
+            ):
+                elapsed += self.outcomes[outcome_index].overhead_seconds
+                outcome_index += 1
+            curve.append((iterations, elapsed))
+        return curve
+
     def to_document(self) -> dict[str, Any]:
         """Canonical, deterministic report: byte-identical for equal seeds
         *and* equal across incremental/full planner modes.
@@ -412,8 +498,10 @@ class UnifiedRunResult:
             "replan_count": self.replan_count,
             "cache_hits": self.cache_hits,
             "task_set_changes": self.task_set_changes,
+            "migration_bytes": self.migration_bytes,
             "migration_seconds": self.migration_seconds,
             "replan_charged_seconds": self.replan_charged_seconds,
+            "curve_reuse_rate": self.curve_reuse_rate,
             "initial_plan": (
                 self.initial_plan.to_document() if self.initial_plan else None
             ),
@@ -437,8 +525,8 @@ class UnifiedRunner:
         threshold).  Capacity-loss cluster events and any task-set change
         bypass it.
     migration_model / replan_cost_model:
-        The elastic cost models, shared so unified and elastic reports charge
-        identical figures for identical switches.
+        Deterministic cost models charged for each plan switch (defaults are
+        shared across benchmarks).
     planner_factory:
         Builds the :class:`ExecutionPlanner` for a derived topology; one
         :class:`IncrementalPlanner` wraps each distinct topology signature.
@@ -446,6 +534,7 @@ class UnifiedRunner:
         Fingerprint-keyed cache shared across all topologies of the run.
         Because fingerprints are naming-insensitive, a phase change back to a
         structurally known task set re-serves its plan without planning.
+        Runners handed the same cache share their plans.
     incremental:
         ``True`` (default) plans with ``reuse_levels`` — structurally
         unchanged MetaLevels/plans are adopted.  ``False`` is the retained
@@ -471,7 +560,7 @@ class UnifiedRunner:
         self.planner_factory = planner_factory or (
             lambda cluster: ExecutionPlanner(cluster)
         )
-        self.plan_cache = plan_cache or PlanCache(capacity=64)
+        self.plan_cache = plan_cache if plan_cache is not None else PlanCache(capacity=64)
         self.incremental = incremental
         self._planners: dict[str, IncrementalPlanner] = {}
 
@@ -527,9 +616,7 @@ class UnifiedRunner:
                     event.kind in CAPACITY_LOSS_KINDS
                     for event in group.cluster_events
                 )
-                stay = ElasticTrainingRunner._stay_slowdown(
-                    plan_snapshot, new_snapshot
-                )
+                stay = plan_snapshot._stay_slowdown(new_snapshot)
                 context = ReplanContext(
                     events=group.cluster_events,
                     old_topology=plan_snapshot.topology,
@@ -607,14 +694,14 @@ class UnifiedRunner:
 
     def _plan(
         self, active: Sequence[str], snapshot: ElasticSnapshot
-    ) -> tuple[ExecutionPlan, UnifiedReplanRecord]:
+    ) -> tuple[ExecutionPlan, ReplanRecord]:
         """Plan the active task set on the snapshot's topology.
 
-        Mirrors the elastic runner's planning path — shared plan cache keyed
-        by canonical fingerprint, per-topology incremental planners, the
-        ``elastic.replan_seconds{policy=...}`` histogram and
-        ``elastic.replans{outcome=...}`` counters — so elastic and unified
-        replans share one metric schema (see ``docs/observability.md``).
+        The one planning path: the plan cache keyed by canonical fingerprint
+        first, then the topology's incremental planner.  Planned replans land
+        in the ``elastic.replan_seconds{policy=...}`` histogram and every
+        replan in the ``elastic.replans{outcome=...}`` counters (see
+        ``docs/observability.md``).
         """
         tasks = [self.scenario.task_pool[name] for name in active]
         incremental = self._planner_for(snapshot.topology)
@@ -639,7 +726,7 @@ class UnifiedRunner:
         self.plan_cache.put(fingerprint, plan)
         reused = plan.report.reused_curves
         estimated = plan.report.num_metaops - reused
-        return plan, UnifiedReplanRecord(
+        return plan, ReplanRecord(
             charged_seconds=self.replan_cost_model.charge(
                 plan.report.num_metaops, estimated, cache_hit=False
             ),
@@ -651,8 +738,8 @@ class UnifiedRunner:
             levels_reused=incremental.stats.levels_reused - before_levels,
         )
 
-    def _cache_hit_record(self, plan: ExecutionPlan) -> UnifiedReplanRecord:
-        return UnifiedReplanRecord(
+    def _cache_hit_record(self, plan: ExecutionPlan) -> ReplanRecord:
+        return ReplanRecord(
             charged_seconds=self.replan_cost_model.charge(
                 plan.report.num_metaops, 0, cache_hit=True
             ),
@@ -686,8 +773,8 @@ class UnifiedRunner:
 
 __all__ = [
     "EventGroup",
+    "ReplanRecord",
     "UnifiedEventOutcome",
-    "UnifiedReplanRecord",
     "UnifiedRunError",
     "UnifiedRunResult",
     "UnifiedRunner",

@@ -1,4 +1,9 @@
-"""End-to-end elastic training runs: replanning, caching, determinism."""
+"""End-to-end elastic training runs: replanning, caching, determinism.
+
+An elastic run is a :class:`~repro.unified.UnifiedScenario` built by
+``from_elastic`` — a fixed task set under a cluster-event timeline — replayed
+by the one event-driven runtime, :class:`~repro.unified.UnifiedRunner`.
+"""
 
 import json
 
@@ -7,9 +12,6 @@ import pytest
 from repro.cluster.device import A800_SPEC, TEST_GPU_SPEC
 from repro.elastic import (
     ClusterEvent,
-    ElasticRunError,
-    ElasticScenario,
-    ElasticTrainingRunner,
     EventTimeline,
     ImmediateReplanPolicy,
     ReplanCostModel,
@@ -24,6 +26,8 @@ from repro.elastic.events import (
     STRAGGLER_CLEAR,
     STRAGGLER_ONSET,
 )
+from repro.service import PlanCache
+from repro.unified import UnifiedRunError, UnifiedRunner, UnifiedScenario
 from tests.conftest import make_chain_task
 
 
@@ -35,8 +39,9 @@ def tasks():
     ]
 
 
-def scenario_with(timeline, iterations=60, nodes=2, per_node=4):
-    return ElasticScenario(
+def scenario_with(tasks, timeline, iterations=60, nodes=2, per_node=4):
+    return UnifiedScenario.from_elastic(
+        tasks,
         num_nodes=nodes,
         devices_per_node=per_node,
         device_spec=A800_SPEC,
@@ -55,20 +60,19 @@ def recover(node, device, at):
 
 
 class TestScenarioValidation:
-    def test_events_beyond_horizon_rejected(self):
+    def test_events_beyond_horizon_rejected(self, tasks):
         timeline = EventTimeline([fail(0, 0, 60)])
-        with pytest.raises(ElasticRunError):
-            scenario_with(timeline, iterations=60)
+        with pytest.raises(UnifiedRunError):
+            scenario_with(tasks, timeline, iterations=60)
 
-    def test_empty_task_set_rejected(self, tasks):
-        runner = ElasticTrainingRunner(scenario_with(EventTimeline()))
-        with pytest.raises(ElasticRunError):
-            runner.run([])
+    def test_empty_task_set_rejected(self):
+        with pytest.raises(UnifiedRunError):
+            scenario_with([], EventTimeline())
 
 
 class TestElasticRun:
     def test_eventless_run_matches_baseline_exactly(self, tasks):
-        result = ElasticTrainingRunner(scenario_with(EventTimeline())).run(tasks)
+        result = UnifiedRunner(scenario_with(tasks, EventTimeline())).run()
         assert result.total_seconds == pytest.approx(result.baseline_seconds)
         assert result.cumulative_slowdown == pytest.approx(1.0)
         assert result.replan_count == 0
@@ -77,9 +81,9 @@ class TestElasticRun:
 
     def test_capacity_loss_forces_replan_and_charges_migration(self, tasks):
         timeline = EventTimeline([fail(0, 1, 20)])
-        result = ElasticTrainingRunner(
-            scenario_with(timeline), policy=SlowdownThresholdPolicy(10.0)
-        ).run(tasks)
+        result = UnifiedRunner(
+            scenario_with(tasks, timeline), policy=SlowdownThresholdPolicy(10.0)
+        ).run()
         assert result.replan_count == 1
         outcome = result.outcomes[0]
         assert outcome.forced and outcome.replanned
@@ -91,9 +95,9 @@ class TestElasticRun:
 
     def test_recovery_to_known_topology_hits_the_plan_cache(self, tasks):
         timeline = EventTimeline([fail(0, 1, 20), recover(0, 1, 40)])
-        result = ElasticTrainingRunner(
-            scenario_with(timeline), policy=ImmediateReplanPolicy()
-        ).run(tasks)
+        result = UnifiedRunner(
+            scenario_with(tasks, timeline), policy=ImmediateReplanPolicy()
+        ).run()
         assert result.replan_count == 2
         recovery = result.outcomes[1]
         assert recovery.replan is not None and recovery.replan.cache_hit
@@ -105,10 +109,10 @@ class TestElasticRun:
         onset = ClusterEvent(
             STRAGGLER_ONSET, at_iteration=20, node=0, severity=0.9
         )
-        result = ElasticTrainingRunner(
-            scenario_with(EventTimeline([onset])),
+        result = UnifiedRunner(
+            scenario_with(tasks, EventTimeline([onset])),
             policy=SlowdownThresholdPolicy(threshold=0.5),
-        ).run(tasks)
+        ).run()
         assert result.replan_count == 0
         outcome = result.outcomes[0]
         assert not outcome.forced and not outcome.replanned
@@ -123,19 +127,19 @@ class TestElasticRun:
             STRAGGLER_ONSET, at_iteration=20, node=0, severity=0.4
         )
         clear = ClusterEvent(STRAGGLER_CLEAR, at_iteration=40, node=0)
-        result = ElasticTrainingRunner(
-            scenario_with(EventTimeline([onset, clear])),
+        result = UnifiedRunner(
+            scenario_with(tasks, EventTimeline([onset, clear])),
             policy=SlowdownThresholdPolicy(threshold=0.5),
-        ).run(tasks)
+        ).run()
         assert result.outcomes[0].replanned  # 2.5x estimated > 1.5x
         assert not result.outcomes[0].forced
         assert result.outcomes[0].migration is not None
 
     def test_flash_crowd_expansion_replans_and_adopts_capacity(self, tasks):
         timeline = flash_crowd_timeline(20, 2, 4, A800_SPEC)
-        result = ElasticTrainingRunner(
-            scenario_with(timeline), policy=SlowdownThresholdPolicy(threshold=0.1)
-        ).run(tasks)
+        result = UnifiedRunner(
+            scenario_with(tasks, timeline), policy=SlowdownThresholdPolicy(threshold=0.1)
+        ).run()
         outcome = result.outcomes[0]
         assert outcome.replanned and not outcome.forced  # 2x forgone > 1.1x
         assert outcome.estimated_slowdown == pytest.approx(2.0)
@@ -151,19 +155,19 @@ class TestElasticRun:
 
     def test_heterogeneous_expansion_plans_on_mixed_specs(self, tasks):
         timeline = flash_crowd_timeline(20, 1, 4, TEST_GPU_SPEC)
-        runner = ElasticTrainingRunner(
-            scenario_with(timeline), policy=ImmediateReplanPolicy()
+        runner = UnifiedRunner(
+            scenario_with(tasks, timeline), policy=ImmediateReplanPolicy()
         )
-        result = runner.run(tasks)
+        result = runner.run()
         assert result.outcomes[0].replanned
         assert result.outcomes[0].num_devices == 12
         assert len(runner._planners) == 2  # one planner per topology signature
 
     def test_island_outage_and_return(self, tasks):
         timeline = island_outage_timeline(1, 4, at_iteration=20, recovery_at=40)
-        result = ElasticTrainingRunner(
-            scenario_with(timeline), policy=ImmediateReplanPolicy()
-        ).run(tasks)
+        result = UnifiedRunner(
+            scenario_with(tasks, timeline), policy=ImmediateReplanPolicy()
+        ).run()
         # One replan for the outage (4 same-iteration failures), one for the
         # recovery group.
         assert result.replan_count == 2
@@ -182,9 +186,9 @@ class TestElasticRun:
         )
         from repro.elastic import DebouncedReplanPolicy
 
-        result = ElasticTrainingRunner(
-            scenario_with(events), policy=DebouncedReplanPolicy(min_groups=2)
-        ).run(tasks)
+        result = UnifiedRunner(
+            scenario_with(tasks, events), policy=DebouncedReplanPolicy(min_groups=2)
+        ).run()
         assert [outcome.replanned for outcome in result.outcomes] == [False, True]
 
 
@@ -192,10 +196,10 @@ class TestReportDeterminism:
     def test_identical_seeds_byte_identical_reports(self, tasks):
         def run():
             timeline = random_failure_timeline(2, 4, 60, 2, seed=5)
-            runner = ElasticTrainingRunner(
-                scenario_with(timeline), policy=SlowdownThresholdPolicy(0.1)
+            runner = UnifiedRunner(
+                scenario_with(tasks, timeline), policy=SlowdownThresholdPolicy(0.1)
             )
-            return runner.run(tasks)
+            return runner.run()
 
         first = json.dumps(run().to_document(), sort_keys=True, indent=2)
         second = json.dumps(run().to_document(), sort_keys=True, indent=2)
@@ -203,16 +207,16 @@ class TestReportDeterminism:
 
     def test_document_excludes_measured_wall_clock(self, tasks):
         timeline = EventTimeline([fail(0, 0, 20)])
-        result = ElasticTrainingRunner(scenario_with(timeline)).run(tasks)
+        result = UnifiedRunner(scenario_with(tasks, timeline)).run()
         document = json.dumps(result.to_document())
         assert "measured" not in document
         assert result.replan_measured_seconds > 0  # still tracked out-of-band
 
     def test_cumulative_curve_is_monotone_and_complete(self, tasks):
         timeline = EventTimeline([fail(0, 0, 20), recover(0, 0, 40)])
-        result = ElasticTrainingRunner(
-            scenario_with(timeline), policy=ImmediateReplanPolicy()
-        ).run(tasks)
+        result = UnifiedRunner(
+            scenario_with(tasks, timeline), policy=ImmediateReplanPolicy()
+        ).run()
         curve = result.cumulative_curve()
         assert curve[-1][0] == 60
         assert curve[-1][1] == pytest.approx(result.total_seconds)
@@ -226,10 +230,10 @@ class TestPerDeviceStragglerRuns:
         onset = ClusterEvent(
             STRAGGLER_ONSET, at_iteration=20, node=0, device=1, severity=0.5
         )
-        result = ElasticTrainingRunner(
-            scenario_with(EventTimeline([onset])),
+        result = UnifiedRunner(
+            scenario_with(tasks, EventTimeline([onset])),
             policy=SlowdownThresholdPolicy(threshold=10.0),
-        ).run(tasks)
+        ).run()
         outcome = result.outcomes[0]
         assert not outcome.replanned
         # Staying on the old plan paces the afflicted island (and only it) at
@@ -243,10 +247,10 @@ class TestPerDeviceStragglerRuns:
         clear = ClusterEvent(
             STRAGGLER_CLEAR, at_iteration=40, node=0, device=1
         )
-        result = ElasticTrainingRunner(
-            scenario_with(EventTimeline([onset, clear])),
+        result = UnifiedRunner(
+            scenario_with(tasks, EventTimeline([onset, clear])),
             policy=ImmediateReplanPolicy(),
-        ).run(tasks)
+        ).run()
         assert result.outcomes[0].replanned
         # The demoted island forms its own spec class, so the replan lands on
         # a different substrate; the heal returns to the original topology
@@ -263,16 +267,16 @@ class TestPerDeviceStragglerRuns:
 class TestCheckpointIntervalRuns:
     def test_island_outage_charges_lost_progress(self, tasks):
         timeline = island_outage_timeline(1, 4, at_iteration=23, recovery_at=40)
-        plain = ElasticTrainingRunner(
-            scenario_with(timeline), policy=ImmediateReplanPolicy()
-        ).run(tasks)
+        plain = UnifiedRunner(
+            scenario_with(tasks, timeline), policy=ImmediateReplanPolicy()
+        ).run()
         from repro.elastic import MigrationCostModel
 
-        charged = ElasticTrainingRunner(
-            scenario_with(island_outage_timeline(1, 4, at_iteration=23, recovery_at=40)),
+        charged = UnifiedRunner(
+            scenario_with(tasks, island_outage_timeline(1, 4, at_iteration=23, recovery_at=40)),
             policy=ImmediateReplanPolicy(),
             migration_model=MigrationCostModel(checkpoint_interval=10),
-        ).run(tasks)
+        ).run()
         outage = charged.outcomes[0].migration
         if outage.num_restored_groups > 0:
             assert outage.lost_iterations == 23 % 10
@@ -283,48 +287,26 @@ class TestCheckpointIntervalRuns:
             assert outage.recompute_seconds == 0.0
 
 
-class TestPlanServicePoolRuns:
-    def test_service_backed_run_matches_direct_run(self, tasks):
-        from repro.core.planner import ExecutionPlanner
-        from repro.service import PlanServicePool
-
-        timeline = island_outage_timeline(1, 4, at_iteration=20, recovery_at=40)
-        direct = ElasticTrainingRunner(
-            scenario_with(timeline), policy=ImmediateReplanPolicy()
-        ).run(tasks)
-        with PlanServicePool(lambda cluster: ExecutionPlanner(cluster)) as pool:
-            served = ElasticTrainingRunner(
-                scenario_with(
-                    island_outage_timeline(1, 4, at_iteration=20, recovery_at=40)
-                ),
-                policy=ImmediateReplanPolicy(),
-                planning_service=pool,
-            ).run(tasks)
-        assert json.dumps(direct.to_document(), sort_keys=True) == json.dumps(
-            served.to_document(), sort_keys=True
-        )
-
-    def test_concurrent_jobs_share_plans_through_the_pool(self, tasks):
-        from repro.core.planner import ExecutionPlanner
-        from repro.service import PlanServicePool
-
+class TestSharedPlanCacheRuns:
+    def test_concurrent_jobs_share_plans_through_the_cache(self, tasks):
         def timeline():
             return island_outage_timeline(1, 4, at_iteration=20, recovery_at=40)
 
-        with PlanServicePool(lambda cluster: ExecutionPlanner(cluster)) as pool:
-            first = ElasticTrainingRunner(
-                scenario_with(timeline()),
-                policy=ImmediateReplanPolicy(),
-                planning_service=pool,
-            ).run(tasks)
-            second = ElasticTrainingRunner(
-                scenario_with(timeline()),
-                policy=ImmediateReplanPolicy(),
-                planning_service=pool,
-            ).run(tasks)
-            # The recovery heals back to the initial topology's signature, so
-            # the run touches two distinct substrates: healthy and outage.
-            assert pool.num_services == 2
+        cache = PlanCache()
+        first = UnifiedRunner(
+            scenario_with(tasks, timeline()),
+            policy=ImmediateReplanPolicy(),
+            plan_cache=cache,
+        ).run()
+        second_runner = UnifiedRunner(
+            scenario_with(tasks, timeline()),
+            policy=ImmediateReplanPolicy(),
+            plan_cache=cache,
+        )
+        second = second_runner.run()
+        # The recovery heals back to the initial topology's signature, so
+        # the run touches two distinct substrates: healthy and outage.
+        assert len(second_runner._planners) == 2
         assert not first.initial_plan.cache_hit
         # Every plan the second job needs is already in the shared cache.
         assert second.initial_plan.cache_hit

@@ -61,6 +61,26 @@ class TestSpindleTask:
         task = make_chain_task("t", {"audio": 2, "text": 1})
         assert task.modalities == ["audio", "text"]
 
+    def test_every_in_place_edit_bumps_the_version(self):
+        task = SpindleTask("t", batch_size=8)
+        seen = [task.version]
+        task.add_module("a", [make_layer_op("t.a.0", task="t")])
+        seen.append(task.version)
+        task.add_module("b", [make_layer_op("t.b.0", task="t")])
+        task.add_flow("a", "b")
+        seen.append(task.version)
+        task.batch_size *= 2
+        seen.append(task.version)
+        task.weight = 2.0
+        seen.append(task.version)
+        assert seen == sorted(set(seen))
+        assert (task.batch_size, task.weight) == (16, 2.0)
+        # Reads and rejected edits leave the version alone.
+        with pytest.raises(TaskError):
+            task.add_flow("a", "a")
+        task.build_graph()
+        assert task.version == seen[-1]
+
 
 class TestBuildGraph:
     def test_chain_lowering(self):

@@ -1,4 +1,4 @@
-"""Observability wired through the planner, service, elastic runner, simulator.
+"""Observability wired through the planner, service, runtime and simulator.
 
 Covers the two quantitative guarantees the telemetry layer makes:
 
@@ -123,17 +123,14 @@ class TestSpanCoverage:
 
     def test_elastic_runner_emits_replan_spans_and_metrics(self):
         from repro.cluster.device import A800_SPEC
-        from repro.elastic import (
-            ClusterEvent,
-            ElasticScenario,
-            ElasticTrainingRunner,
-            EventTimeline,
-        )
+        from repro.elastic import ClusterEvent, EventTimeline
         from repro.elastic.events import DEVICE_FAILURE
+        from repro.unified import UnifiedRunner, UnifiedScenario
         from tests.conftest import make_chain_task
 
         tasks = [make_chain_task("audio_task", {"audio": 2, "lm": 2}, batch=8)]
-        scenario = ElasticScenario(
+        scenario = UnifiedScenario.from_elastic(
+            tasks,
             num_nodes=2,
             devices_per_node=4,
             device_spec=A800_SPEC,
@@ -147,10 +144,10 @@ class TestSpanCoverage:
         metrics = get_metrics()
         before = metrics.snapshot()
         with tracer.capture():
-            ElasticTrainingRunner(scenario).run(tasks)
+            UnifiedRunner(scenario).run()
         names = [r.name for r in tracer.records()]
-        assert "elastic.replan" in names
-        assert "elastic.event_group" in names
+        assert "unified.replan" in names
+        assert "unified.event_group" in names
         delta = metrics.snapshot().diff(before)
         replans = [
             key

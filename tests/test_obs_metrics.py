@@ -177,6 +177,26 @@ class TestBenchExport:
         assert metrics[f"{key}.p50_ms"].value == pytest.approx(20.0)
         assert metrics[f"{key}.p95_ms"].unit == "ms"
 
+    def test_diffed_histograms_export_count_without_percentiles(self, registry):
+        registry.observe("planner.solve_seconds", 0.010, stage="allocation")
+        before = registry.snapshot()
+        registry.observe("planner.solve_seconds", 0.030, stage="allocation")
+        metrics = registry.to_bench_metrics(snapshot=registry.snapshot().diff(before))
+        key = "planner.solve_seconds{stage=allocation}"
+        assert metrics[f"{key}.count"].value == 1
+        assert not [name for name in metrics if name.endswith("_ms")]
+
+    def test_diff_keeps_only_gauges_set_inside_the_window(self, registry):
+        registry.gauge("service.breaker_state", 1.0, shard="0")
+        registry.gauge("service.hit_rate", 0.5)
+        before = registry.snapshot()
+        registry.gauge("service.hit_rate", 0.75)
+        registry.gauge("service.queue_depth", 3.0)
+        metrics = registry.to_bench_metrics(snapshot=registry.snapshot().diff(before))
+        assert metrics["service.hit_rate"].value == 0.75
+        assert metrics["service.queue_depth"].value == 3.0
+        assert "service.breaker_state{shard=0}" not in metrics
+
     def test_non_seconds_histograms_export_count_only(self, registry):
         registry.observe("queue.depth", 4.0)
         metrics = registry.to_bench_metrics()

@@ -57,6 +57,16 @@ class TestBasicServing:
         assert service.stats.count(OUTCOME_HIT) == 2
         assert service.stats.hit_rate == pytest.approx(2 / 3)
 
+    def test_task_edited_in_place_is_replanned(self, cluster, tiny_tasks):
+        with PlanService(ExecutionPlanner(cluster), num_workers=1) as service:
+            first = service.plan(tiny_tasks, timeout=30.0)
+            tiny_tasks[0].batch_size *= 2
+            second = service.plan(tiny_tasks, timeout=30.0)
+        fresh = ExecutionPlanner(cluster).plan(tiny_tasks)
+        assert second.fingerprint == fresh.fingerprint
+        assert second.fingerprint != first.fingerprint
+        assert service.stats.count(OUTCOME_MISS) == 2
+
     def test_serialized_plan_byte_identical(self, cluster, tiny_tasks):
         with PlanService(ExecutionPlanner(cluster), num_workers=1) as service:
             first = service.serialized_plan(tiny_tasks, timeout=30.0)
@@ -230,6 +240,18 @@ class TestPlanServicePool:
             plan_b = second.result(timeout=30.0)
         assert plan_a is plan_b
         assert planner.calls == 1
+
+    def test_task_edited_in_place_is_replanned(self, tiny_tasks):
+        from repro.service import PlanServicePool
+
+        cluster = make_cluster(4, devices_per_node=4)
+        with PlanServicePool(lambda c: ExecutionPlanner(c)) as pool:
+            first = pool.service_for(cluster).plan(tiny_tasks, timeout=30.0)
+            tiny_tasks[0].batch_size *= 2
+            second = pool.service_for(cluster).plan(tiny_tasks, timeout=30.0)
+        fresh = ExecutionPlanner(cluster).plan(tiny_tasks)
+        assert second.fingerprint == fresh.fingerprint
+        assert second.fingerprint != first.fingerprint
 
     def test_closed_pool_rejects_new_topologies(self):
         from repro.service import PlanServicePool
