@@ -86,19 +86,18 @@ class TrainingSystem(ABC):
         duration: float,
         metaop_index: int | None,
     ) -> None:
-        """Add busy segments for one operator executed by a device group."""
+        """Add one busy record for an operator executed by a device group."""
         if duration <= 0:
             return
         achieved = (1.0 + self.timing_model.config.backward_multiplier) * op.flops
         per_device = achieved / duration / max(1, len(devices))
-        for device in devices:
-            trace.add_busy(
-                device_id=device,
-                start=start,
-                duration=duration,
-                flops_per_second=per_device,
-                metaop_index=metaop_index,
-            )
+        trace.add_busy(
+            devices,
+            start=start,
+            duration=duration,
+            flops_per_second=per_device,
+            metaop_index=metaop_index,
+        )
 
     def parameter_sync_time(
         self,

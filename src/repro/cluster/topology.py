@@ -184,8 +184,11 @@ class ClusterTopology:
                     )
                 )
         # The device list is immutable after construction, so the island
-        # grouping is built exactly once: the placement pass queries it per
-        # (entry, island) and must not pay an O(num_devices) rebuild per call.
+        # grouping is built exactly once.  Devices are numbered island by
+        # island, so every island holds one contiguous ascending id range and
+        # the ranges follow island order.  The placement pass's per-island
+        # free lists rely on that invariant: walking them island by island
+        # visits free devices in ascending id order.
         groups: list[list[int]] = [[] for _ in range(self.num_nodes)]
         for dev in self.devices:
             groups[dev.node_id].append(dev.device_id)

@@ -12,6 +12,12 @@ The locality-aware placer follows the paper's three guidelines:
   most free memory and falls back to alternative (less local) placements, with
   bounded backtracking, when a device would run out of memory.
 
+Candidate device blocks come from a per-wave free-slot index: one ascending
+free list per island, updated only for the islands an entry takes devices
+from.  The original scan over every island and the sorted free set is kept as
+the reference path (``optimized=False``) that equivalence tests compare the
+index against.
+
 A deliberately naive :class:`SequentialPlacer` is provided for the placement
 ablation of Fig. 10.
 """
@@ -19,7 +25,7 @@ ablation of Fig. 10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.metagraph import MetaGraph
@@ -40,6 +46,28 @@ class _DeviceState:
     param_keys: set[str] = field(default_factory=set)
 
 
+class _FreeSlots:
+    """The free devices of one wave: a set, plus one free list per island.
+
+    Each island's list holds its free devices in ascending id order.  The
+    topology numbers every island's devices as one contiguous ascending id
+    range, in island order, so walking the lists island by island visits
+    free devices in ascending id order: the index never sorts.
+    """
+
+    def __init__(self, cluster: ClusterTopology) -> None:
+        self.devices = set(range(cluster.num_devices))
+        self.by_island = cluster.islands()
+        self._island_of = cluster.island_of
+
+    def take(self, devices: tuple[int, ...]) -> None:
+        """Mark ``devices`` busy, rebuilding only the islands they sit in."""
+        free = self.devices
+        free.difference_update(devices)
+        for island in set(map(self._island_of, devices)):
+            self.by_island[island] = [d for d in self.by_island[island] if d in free]
+
+
 class LocalityAwarePlacer:
     """Greedy, wave-by-wave locality- and memory-aware device placement."""
 
@@ -49,11 +77,16 @@ class LocalityAwarePlacer:
         memory_model: MemoryModel | None = None,
         memory_weight: float = 0.15,
         max_backtracks: int = 32,
+        optimized: bool = True,
     ) -> None:
+        """``optimized`` enumerates candidate blocks from the per-island free
+        lists; ``False`` runs the reference scan over every island and the
+        sorted free set.  Both yield the same candidates in the same order."""
         self.cluster = cluster
         self.memory_model = memory_model or MemoryModel()
         self.memory_weight = memory_weight
         self.max_backtracks = max_backtracks
+        self.optimized = optimized
         # Per-device capacity checks are only needed on mixed-HBM clusters;
         # the homogeneous fast path keeps the scoring loop a single compare.
         self._homogeneous = cluster.is_homogeneous
@@ -68,6 +101,8 @@ class LocalityAwarePlacer:
         self._class_islands = {
             cls.index: cls.islands for cls in cluster.spec_classes()
         }
+        # No island block can serve an entry wider than the largest island.
+        self._max_island_size = max(len(group) for group in cluster.islands())
 
     # ------------------------------------------------------------- public API
     def place(self, waves: Sequence[Wave], metagraph: MetaGraph) -> PlacementResult:
@@ -81,7 +116,7 @@ class LocalityAwarePlacer:
         last_devices: dict[int, tuple[int, ...]] = {}
 
         for wave in waves:
-            free = set(range(self.cluster.num_devices))
+            free = _FreeSlots(self.cluster)
             entries = sorted(
                 wave.entries,
                 key=lambda e: self._communication_priority(e, metagraph, last_devices),
@@ -93,7 +128,7 @@ class LocalityAwarePlacer:
                 )
                 entry.devices = devices
                 result.assignments[(wave.index, entry.metaop_index)] = devices
-                free -= set(devices)
+                free.take(devices)
                 last_devices[entry.metaop_index] = devices
                 self._charge_memory(entry, devices, metagraph, states)
 
@@ -172,27 +207,79 @@ class LocalityAwarePlacer:
                 seen.add(cand)
         return unique
 
+    def _indexed_candidate_blocks(
+        self,
+        entry: WaveEntry,
+        free: _FreeSlots,
+        preferred: list[int],
+    ) -> list[tuple[int, ...]]:
+        """:meth:`_candidate_blocks` read off the per-island free lists.
+
+        Islands are visited preferred first, then the rest, each group in
+        ascending order; that is the reference's island order, and, by the
+        topology's contiguous numbering, its spill order too.
+        """
+        n = entry.n_devices
+        if entry.spec_class is not None:
+            allowed = self._class_devices[entry.spec_class]
+            preferred = [d for d in preferred if d in allowed]
+            island_pool: Sequence[int] = self._class_islands[entry.spec_class]
+        else:
+            island_pool = range(self.cluster.num_nodes)
+
+        candidates: list[tuple[int, ...]] = []
+        preferred = list(dict.fromkeys(preferred))
+        preferred_free = [d for d in preferred if d in free.devices]
+        if len(preferred_free) >= n:
+            candidates.append(tuple(preferred_free[:n]))
+
+        preferred_islands = set(map(self.cluster.island_of, preferred))
+        first = sorted(preferred_islands)
+
+        def island_order() -> Iterator[int]:
+            yield from first
+            for island in island_pool:
+                if island not in preferred_islands:
+                    yield island
+
+        by_island = free.by_island
+        if n <= self._max_island_size:
+            for island in island_order():
+                island_free = by_island[island]
+                if len(island_free) >= n:
+                    candidates.append(tuple(island_free[:n]))
+        spill: list[int] = []
+        for island in island_order():
+            spill.extend(by_island[island][: n - len(spill)])
+            if len(spill) == n:
+                candidates.append(tuple(spill))
+                break
+        return list(dict.fromkeys(candidates))
+
     def _place_entry(
         self,
         entry: WaveEntry,
         wave: Wave,
         metagraph: MetaGraph,
-        free: set[int],
+        free: _FreeSlots,
         states: dict[int, _DeviceState],
         last_devices: dict[int, tuple[int, ...]],
         result: PlacementResult,
     ) -> tuple[int, ...]:
-        if len(free) < entry.n_devices:
+        if len(free.devices) < entry.n_devices:
             raise PlacementError(
                 f"Wave {wave.index}: MetaOp {entry.metaop_index} needs "
-                f"{entry.n_devices} devices but only {len(free)} are free"
+                f"{entry.n_devices} devices but only {len(free.devices)} are free"
             )
         metaop = metagraph.metaop(entry.metaop_index)
         preferred: list[int] = list(last_devices.get(entry.metaop_index, ()))
         for pred in metagraph.predecessors(entry.metaop_index):
             preferred.extend(last_devices.get(pred, ()))
 
-        candidates = self._candidate_blocks(entry, free, preferred)
+        if self.optimized:
+            candidates = self._indexed_candidate_blocks(entry, free, preferred)
+        else:
+            candidates = self._candidate_blocks(entry, free.devices, preferred)
         if not candidates:
             raise PlacementError(
                 f"No candidate device block of size {entry.n_devices} for MetaOp "

@@ -32,17 +32,19 @@ class LinkClass(Enum):
 def classify_link(
     cluster: ClusterTopology, src_devices: Sequence[int], dst_devices: Sequence[int]
 ) -> LinkClass:
-    """Classify the slowest link a transfer between two device groups crosses."""
-    src = list(src_devices)
-    dst = list(dst_devices)
+    """Classify the slowest link a transfer between two device groups crosses.
+
+    Every device id is looked up (and so validated) even when the two groups
+    are the same devices and the answer is already known.
+    """
+    src = set(src_devices)
+    dst = set(dst_devices)
     if not src or not dst:
         raise ValueError("Device groups must not be empty")
-    if set(src) & set(dst) and set(src) | set(dst) == set(src) & set(dst):
+    islands = set(map(cluster.island_of, src | dst))
+    if src == dst:
         return LinkClass.INTRA_DEVICE
-    islands = {cluster.island_of(d) for d in src} | {cluster.island_of(d) for d in dst}
     if len(islands) == 1:
-        if set(src) == set(dst):
-            return LinkClass.INTRA_DEVICE
         return LinkClass.INTRA_ISLAND
     return LinkClass.INTER_ISLAND
 
@@ -119,17 +121,22 @@ def group_transfer_time(
     src_devices: Sequence[int],
     dst_devices: Sequence[int],
     volume_bytes: float,
+    link_class: LinkClass | None = None,
 ) -> float:
     """Transfer ``volume_bytes`` from one device group to another.
 
     The volume is assumed to be sharded across source devices and re-sharded
     across destination devices using batched point-to-point primitives, so
-    ``min(len(src), len(dst))`` transfers proceed in parallel.
+    ``min(len(src), len(dst))`` transfers proceed in parallel.  A caller that
+    already classified the link passes its ``link_class`` to skip doing so
+    again.
     """
     if volume_bytes < 0:
         raise ValueError("volume must be non-negative")
     if volume_bytes == 0:
         return 0.0
-    link = link_spec(cluster, classify_link(cluster, src_devices, dst_devices))
+    if link_class is None:
+        link_class = classify_link(cluster, src_devices, dst_devices)
+    link = link_spec(cluster, link_class)
     parallelism = max(1, min(len(set(src_devices)), len(set(dst_devices))))
     return p2p_time(volume_bytes / parallelism, link)

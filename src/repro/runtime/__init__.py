@@ -5,7 +5,7 @@ from repro.runtime.engine import LocalMetaOpSlice, LocalProgram, RuntimeEngine
 from repro.runtime.param_groups import ParameterDeviceGroupPool, ParameterGroup
 from repro.runtime.results import IterationResult, TimeBreakdown, TrainingRunResult
 from repro.runtime.simulator import WaveExecutionSimulator, WaveSimulation
-from repro.runtime.trace import TraceSegment, UtilizationTrace
+from repro.runtime.trace import TraceRecord, TraceSegment, UtilizationTrace
 from repro.runtime.transmission import (
     TransmissionOp,
     build_transmissions,
@@ -21,6 +21,7 @@ __all__ = [
     "ParameterGroup",
     "RuntimeEngine",
     "TimeBreakdown",
+    "TraceRecord",
     "TraceSegment",
     "TrainingRunResult",
     "TransmissionOp",

@@ -20,6 +20,7 @@ the physical GPU cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.plan import ExecutionPlan
 from repro.costmodel.timing import ExecutionTimeModel, TimingModelConfig
@@ -54,11 +55,6 @@ class LocalProgram:
     def num_waves(self) -> int:
         return len({s.wave_index for s in self.slices})
 
-    @property
-    def parameter_keys(self) -> set[str]:
-        # Derived lazily by the engine; kept here for symmetry of the API.
-        return set()
-
 
 class RuntimeEngine:
     """Instantiates and executes a Spindle execution plan."""
@@ -71,7 +67,6 @@ class RuntimeEngine:
     ) -> None:
         self.plan = plan
         self.timing_model = ExecutionTimeModel(plan.cluster, timing_config)
-        self._local_programs = self._localize()
         self._transmissions = build_transmissions(
             plan, include_backward=include_backward_transmissions
         )
@@ -107,10 +102,14 @@ class RuntimeEngine:
         return programs
 
     # -------------------------------------------------------------- accessors
-    @property
+    @cached_property
     def local_programs(self) -> dict[int, LocalProgram]:
-        """Per-device localized programs (step 1)."""
-        return self._local_programs
+        """Per-device localized programs (step 1), built on first access.
+
+        Simulating an iteration needs only the plan itself, so an engine that
+        is never asked for its programs never localizes them.
+        """
+        return self._localize()
 
     @property
     def transmissions(self) -> list[TransmissionOp]:

@@ -84,7 +84,9 @@ def build_transmissions(
         if volume <= 0:
             return
         link = classify_link(cluster, src_devices, dst_devices)
-        time = passes * group_transfer_time(cluster, src_devices, dst_devices, volume)
+        time = passes * group_transfer_time(
+            cluster, src_devices, dst_devices, volume, link_class=link
+        )
         transmissions.append(
             TransmissionOp(
                 boundary_after_wave=boundary,

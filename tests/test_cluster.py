@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.cluster.device import A800_SPEC, Device, DeviceSpec
+from repro.cluster.device import A800_SPEC, TEST_GPU_SPEC, Device, DeviceSpec
 from repro.cluster.topology import (
     ClusterTopology,
     InterconnectSpec,
     TopologyError,
     make_cluster,
+    make_heterogeneous_cluster,
 )
 
 
@@ -123,3 +124,35 @@ class TestMakeCluster:
             ClusterTopology(num_nodes=0, devices_per_node=8)
         with pytest.raises(TopologyError):
             ClusterTopology(num_nodes=1, devices_per_node=0)
+
+
+@pytest.mark.parametrize(
+    "cluster",
+    [
+        make_cluster(64),
+        make_cluster(64, devices_per_node=4),
+        ClusterTopology(num_nodes=5, devices_per_node=8, island_sizes=(8, 3, 8, 1, 6)),
+        ClusterTopology(
+            num_nodes=3,
+            devices_per_node=4,
+            node_specs=(TEST_GPU_SPEC, A800_SPEC, TEST_GPU_SPEC),
+        ),
+        make_heterogeneous_cluster([A800_SPEC, TEST_GPU_SPEC, A800_SPEC], devices_per_node=4),
+        make_heterogeneous_cluster(
+            [TEST_GPU_SPEC, A800_SPEC, A800_SPEC, TEST_GPU_SPEC],
+            devices_per_node=8,
+            island_sizes=(2, 8, 5, 7),
+        ),
+    ],
+    ids=["n8", "n4", "island-sizes", "node-specs", "hetero", "hetero-irregular"],
+)
+def test_islands_are_contiguous_ascending_id_ranges(cluster):
+    """Island ``i`` owns one contiguous block of ids, right after island
+    ``i - 1``'s.  The placement pass's per-island free lists rely on it."""
+    sizes = cluster.island_sizes or (cluster.devices_per_node,) * cluster.num_nodes
+    first = 0
+    for island, group in enumerate(cluster.islands()):
+        assert group == list(range(first, first + sizes[island]))
+        assert all(cluster.island_of(device) == island for device in group)
+        first += sizes[island]
+    assert first == cluster.num_devices

@@ -1,11 +1,21 @@
 """Unit tests for device placement (§3.5)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.device import A800_SPEC, TEST_GPU_SPEC
+from repro.cluster.topology import ClusterTopology
 from repro.core.allocator import ResourceAllocator
 from repro.core.contraction import contract_graph
 from repro.core.estimator import ScalabilityEstimator
-from repro.core.placement import LocalityAwarePlacer, PlacementError, SequentialPlacer
+from repro.core.placement import (
+    LocalityAwarePlacer,
+    PlacementError,
+    SequentialPlacer,
+    _FreeSlots,
+)
+from repro.core.plan import WaveEntry
 from repro.core.scheduler import WavefrontScheduler
 from repro.costmodel.memory import MemoryModel, MemoryModelConfig
 from repro.costmodel.profiler import SyntheticProfiler
@@ -154,3 +164,64 @@ class TestPlacementErrors:
         wave.entries[0].n_devices = cluster.num_devices + 1
         with pytest.raises(PlacementError):
             placer.place([wave], metagraph)
+
+
+# ------------------------------------------------------- free-slot index
+
+
+@st.composite
+def index_cases(draw):
+    """An irregular, possibly mixed-spec cluster mid-wave, and one entry.
+
+    Devices are taken in random chunks, so the per-island free lists went
+    through the same incremental updates as during a real placement.
+    """
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=10))
+    specs = draw(
+        st.lists(
+            st.sampled_from([A800_SPEC, TEST_GPU_SPEC]),
+            min_size=len(sizes),
+            max_size=len(sizes),
+        )
+    )
+    cluster = ClusterTopology(
+        num_nodes=len(sizes),
+        devices_per_node=max(sizes),
+        island_sizes=tuple(sizes),
+        node_specs=tuple(specs),
+    )
+    ids = st.integers(0, cluster.num_devices - 1)
+    busy = draw(st.lists(st.lists(ids, min_size=1, max_size=6), max_size=6))
+    # Duplicates are the norm: a previous slice and several predecessors
+    # can all suggest the same devices.
+    preferred = draw(st.lists(ids, max_size=3 * cluster.num_devices))
+    spec_class = draw(
+        st.none() | st.sampled_from([cls.index for cls in cluster.spec_classes()])
+    )
+    n = draw(st.integers(1, cluster.num_devices))
+    entry = WaveEntry(metaop_index=0, n_devices=n, layers=1, duration=1.0, spec_class=spec_class)
+    return cluster, busy, preferred, entry
+
+
+class TestFreeSlotIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(index_cases())
+    def test_indexed_candidates_equal_reference_scan(self, case):
+        cluster, busy, preferred, entry = case
+        free = _FreeSlots(cluster)
+        for chunk in busy:
+            free.take(tuple(dict.fromkeys(chunk)))
+        placer = LocalityAwarePlacer(cluster)
+        reference = placer._candidate_blocks(entry, set(free.devices), list(preferred))
+        assert placer._indexed_candidate_blocks(entry, free, list(preferred)) == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(index_cases())
+    def test_free_lists_track_the_free_set(self, case):
+        cluster, busy, _, _ = case
+        free = _FreeSlots(cluster)
+        for chunk in busy:
+            free.take(tuple(dict.fromkeys(chunk)))
+        assert [d for group in free.by_island for d in group] == sorted(free.devices)
+        for island, group in enumerate(free.by_island):
+            assert all(cluster.island_of(d) == island for d in group)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.topology import InterconnectSpec
+from repro.cluster.topology import InterconnectSpec, TopologyError
 from repro.costmodel.comm import (
     LinkClass,
     all_gather_time,
@@ -75,6 +75,25 @@ class TestLinkClassification:
     def test_empty_groups_rejected(self, two_island_cluster):
         with pytest.raises(ValueError):
             classify_link(two_island_cluster, [], [0])
+
+    def test_overlapping_groups_and_duplicates(self, two_island_cluster):
+        assert classify_link(two_island_cluster, [0, 0, 1], [1, 0]) is LinkClass.INTRA_DEVICE
+        assert classify_link(two_island_cluster, [0, 1], [1, 2]) is LinkClass.INTRA_ISLAND
+        assert classify_link(two_island_cluster, [0, 1], [1, 4]) is LinkClass.INTER_ISLAND
+
+    def test_every_device_is_validated(self, two_island_cluster):
+        # Even identical groups, whose class needs no island lookup.
+        with pytest.raises(TopologyError):
+            classify_link(two_island_cluster, [0, 8], [8, 0])
+        with pytest.raises(TopologyError):
+            classify_link(two_island_cluster, [0], [1, 9])
+
+    def test_precomputed_class_gives_the_same_transfer_time(self, two_island_cluster):
+        for src, dst in (([0, 1], [0, 1]), ([0], [2, 3]), ([0, 1, 2], [4, 5])):
+            link = classify_link(two_island_cluster, src, dst)
+            assert group_transfer_time(
+                two_island_cluster, src, dst, 3e8, link_class=link
+            ) == group_transfer_time(two_island_cluster, src, dst, 3e8)
 
     def test_link_spec_mapping(self, two_island_cluster):
         assert link_spec(two_island_cluster, LinkClass.INTRA_DEVICE) is two_island_cluster.intra_device

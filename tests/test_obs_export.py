@@ -69,10 +69,10 @@ def sample_spans():
 def sim_trace():
     trace = UtilizationTrace(num_devices=2, peak_flops_per_device=100.0)
     trace.add_busy(
-        device_id=0, start=0.0, duration=1.0, flops_per_second=50.0, metaop_index=3
+        [0], start=0.0, duration=1.0, flops_per_second=50.0, metaop_index=3
     )
     trace.add_busy(
-        device_id=1, start=0.5, duration=1.0, flops_per_second=80.0, label="wave0"
+        [1], start=0.5, duration=1.0, flops_per_second=80.0, label="wave0"
     )
     trace.end_time = 2.0
     return trace

@@ -21,6 +21,12 @@ class TestLocalization:
     def test_every_device_has_a_program(self, engine, plan):
         assert set(engine.local_programs) == set(range(plan.cluster.num_devices))
 
+    def test_programs_are_built_on_first_access_only(self, engine):
+        engine.run_iteration()
+        assert "local_programs" not in vars(engine)
+        programs = engine.local_programs
+        assert engine.local_programs is programs
+
     def test_local_slices_match_placement(self, engine, plan):
         for wave in plan.waves:
             for entry in wave.entries:

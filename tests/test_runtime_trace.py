@@ -1,5 +1,7 @@
 """Unit tests for utilization traces."""
 
+import random
+
 import pytest
 
 from repro.runtime.trace import TraceSegment, UtilizationTrace
@@ -22,9 +24,9 @@ class TestUtilizationTrace:
     @pytest.fixture
     def trace(self):
         trace = UtilizationTrace(num_devices=2, peak_flops_per_device=100.0)
-        trace.add_busy(0, start=0.0, duration=1.0, flops_per_second=50.0, metaop_index=0)
-        trace.add_busy(0, start=1.0, duration=1.0, flops_per_second=100.0, metaop_index=1)
-        trace.add_busy(1, start=0.0, duration=2.0, flops_per_second=25.0, metaop_index=0)
+        trace.add_busy([0], start=0.0, duration=1.0, flops_per_second=50.0, metaop_index=0)
+        trace.add_busy([0], start=1.0, duration=1.0, flops_per_second=100.0, metaop_index=1)
+        trace.add_busy([1], start=0.0, duration=2.0, flops_per_second=25.0, metaop_index=0)
         return trace
 
     def test_end_time_tracks_latest_segment(self, trace):
@@ -32,7 +34,7 @@ class TestUtilizationTrace:
 
     def test_device_id_validated(self, trace):
         with pytest.raises(ValueError):
-            trace.add_busy(5, start=0.0, duration=1.0, flops_per_second=1.0)
+            trace.add_busy([5], start=0.0, duration=1.0, flops_per_second=1.0)
 
     def test_device_busy_time(self, trace):
         busy = trace.device_busy_time()
@@ -62,8 +64,8 @@ class TestUtilizationTrace:
 
     def test_cluster_timeline_shows_idle_periods(self):
         trace = UtilizationTrace(num_devices=1, peak_flops_per_device=10.0)
-        trace.add_busy(0, start=0.0, duration=1.0, flops_per_second=10.0)
-        trace.add_busy(0, start=3.0, duration=1.0, flops_per_second=10.0)
+        trace.add_busy([0], start=0.0, duration=1.0, flops_per_second=10.0)
+        trace.add_busy([0], start=3.0, duration=1.0, flops_per_second=10.0)
         points = trace.cluster_timeline(num_points=4)
         values = [value for _, value in points]
         assert values[0] > 0
@@ -87,3 +89,123 @@ class TestUtilizationTrace:
     def test_invalid_timeline_resolution(self, trace):
         with pytest.raises(ValueError):
             trace.cluster_timeline(num_points=0)
+
+
+def per_device_reference(trace: UtilizationTrace, segments: list[TraceSegment]) -> dict:
+    """The aggregates as computed over a flat per-device segment list."""
+    busy = {d: 0.0 for d in range(trace.num_devices)}
+    totals = {d: 0.0 for d in range(trace.num_devices)}
+    for seg in segments:
+        busy[seg.device_id] += seg.duration
+        totals[seg.device_id] += seg.flops
+    step = trace.end_time / 50
+    timeline = []
+    for i in range(50):
+        t_lo, t_hi = i * step, (i + 1) * step
+        total = 0.0
+        for seg in segments:
+            overlap = min(seg.end, t_hi) - max(seg.start, t_lo)
+            if overlap > 0:
+                total += seg.flops_per_second * overlap
+        timeline.append((t_lo, total / step))
+    time_per_metaop: dict[int, float] = {}
+    flops_per_metaop: dict[int, float] = {}
+    for seg in segments:
+        if seg.metaop_index is None:
+            continue
+        time_per_metaop[seg.metaop_index] = (
+            time_per_metaop.get(seg.metaop_index, 0.0) + seg.duration
+        )
+        flops_per_metaop[seg.metaop_index] = (
+            flops_per_metaop.get(seg.metaop_index, 0.0) + seg.flops
+        )
+    return {
+        "busy": busy,
+        "average": {d: total / trace.end_time for d, total in totals.items()},
+        "cluster": sum(seg.flops for seg in segments) / trace.end_time,
+        "timeline": timeline,
+        "metaop": {i: flops_per_metaop[i] / time_per_metaop[i] for i in time_per_metaop},
+    }
+
+
+class TestDeviceGroupRecords:
+    """One record per device group; reads expand it per device."""
+
+    @pytest.fixture
+    def groups(self):
+        rng = random.Random(3)
+        groups = []
+        for index in range(40):
+            devices = rng.sample(range(16), rng.randint(1, 6))
+            groups.append(
+                (
+                    devices,
+                    rng.uniform(0.0, 5.0),
+                    rng.uniform(0.0, 2.0),
+                    rng.uniform(0.0, 1e12),
+                    rng.choice([None, index % 7]),
+                    f"wave{index % 5}",
+                )
+            )
+        return groups
+
+    @pytest.fixture
+    def trace(self, groups):
+        trace = UtilizationTrace(num_devices=16, peak_flops_per_device=1e12)
+        for devices, start, duration, rate, metaop, label in groups:
+            trace.add_busy(devices, start, duration, rate, metaop_index=metaop, label=label)
+        return trace
+
+    def test_one_record_per_group(self, trace, groups):
+        assert len(trace.records) == len(groups)
+        assert trace.records[0].device_ids == tuple(groups[0][0])
+
+    def test_segments_expand_in_per_device_order(self, trace, groups):
+        expected = [
+            TraceSegment(
+                device_id=device,
+                start=start,
+                end=start + duration,
+                flops_per_second=rate,
+                metaop_index=metaop,
+                label=label,
+            )
+            for devices, start, duration, rate, metaop, label in groups
+            for device in devices
+        ]
+        assert trace.segments == expected
+        assert trace.end_time == max(seg.end for seg in expected)
+
+    def test_aggregates_equal_per_device_sums_exactly(self, trace):
+        reference = per_device_reference(trace, trace.segments)
+        assert trace.device_busy_time() == reference["busy"]
+        assert trace.device_average_flops() == reference["average"]
+        assert trace.cluster_average_flops() == reference["cluster"]
+        assert trace.cluster_timeline(num_points=50) == reference["timeline"]
+        assert trace.metaop_average_flops() == reference["metaop"]
+
+    @pytest.mark.parametrize(
+        "devices", [[4], [-1], [0, 1, 4], [4, 0, 1], [0, -2, 1]], ids=str
+    )
+    def test_out_of_range_device_anywhere_in_group_raises(self, devices):
+        trace = UtilizationTrace(num_devices=4, peak_flops_per_device=1.0)
+        with pytest.raises(ValueError):
+            trace.add_busy(devices, start=0.0, duration=1.0, flops_per_second=1.0)
+        assert trace.records == [] and trace.end_time == 0.0
+
+    def test_negative_duration_raises(self):
+        trace = UtilizationTrace(num_devices=4, peak_flops_per_device=1.0)
+        with pytest.raises(ValueError):
+            trace.add_busy([0, 1], start=2.0, duration=-1.0, flops_per_second=1.0)
+        assert trace.records == []
+
+    def test_negative_throughput_raises(self):
+        trace = UtilizationTrace(num_devices=4, peak_flops_per_device=1.0)
+        with pytest.raises(ValueError):
+            trace.add_busy([0, 1], start=0.0, duration=1.0, flops_per_second=-1.0)
+        assert trace.records == []
+
+    def test_empty_group_records_nothing(self):
+        trace = UtilizationTrace(num_devices=4, peak_flops_per_device=1.0)
+        trace.add_busy([], start=0.0, duration=1.0, flops_per_second=1.0)
+        assert trace.records == [] and trace.end_time == 0.0
